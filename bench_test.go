@@ -393,19 +393,13 @@ func BenchmarkHubThroughput(b *testing.B) {
 // durability wait once instead of per alert, so sustained ingest must
 // reach ≥2× the one-at-a-time BenchmarkHubThroughput figure at equal
 // shard count; see BENCH_hub.json for recorded runs.
-func BenchmarkHubBatchIngest(b *testing.B) {
-	for _, lanes := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
-			benchHubBatchIngest(b, lanes, false)
-		})
-	}
-	// The supervised variant prices the self-management plane: watchdog
-	// probes and invariant checks read shard atomics only, never shard
-	// locks, so this must stay within noise of lanes-8.
-	b.Run("lanes-8-supervised", func(b *testing.B) {
-		benchHubBatchIngest(b, 8, true)
-	})
-}
+func BenchmarkHubBatchIngest(b *testing.B) { benchHubBatchIngest(b, false) }
+
+// BenchmarkHubBatchIngestSupervised prices the self-management plane
+// on the BenchmarkHubBatchIngest workload: watchdog probes and
+// invariant checks read shard atomics only, never shard locks, so this
+// must stay within noise of the unsupervised run.
+func BenchmarkHubBatchIngestSupervised(b *testing.B) { benchHubBatchIngest(b, true) }
 
 // benchIngestFixture preallocates everything the timed submit loop
 // would otherwise allocate — user names, per-alert IDs, and the alert
@@ -444,12 +438,10 @@ func (f *benchIngestFixture) sub(k int) hub.Submission {
 }
 
 // benchHubBatchIngest runs the batched portal workload against an
-// 8-shard hub whose WAL is partitioned into the given number of lanes
-// (shard i stages on lane i%lanes), so the sweep isolates what
-// parallel group commit buys at equal shard count. With supervised,
-// the full supervision plane (shard watchdog + invariant checks) runs
-// at its default cadence throughout the ingest.
-func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
+// 8-shard hub. With supervised, the full supervision plane (shard
+// watchdog + invariant checks) runs at its default cadence throughout
+// the ingest.
+func benchHubBatchIngest(b *testing.B, supervised bool) {
 	const users, alerts, submitters, burstSize = 1000, 20000, 128, 64
 	clk := clock.NewReal()
 	b.ReportAllocs()
@@ -461,7 +453,6 @@ func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
 			Clock: clk, Sink: sink,
 			WALPath: b.TempDir() + "/hub.wal",
 			Shards:  8, QueueDepth: 512,
-			WALLanes:     lanes,
 			CommitWindow: 2 * time.Millisecond,
 			RNG:          rng,
 		})
@@ -549,24 +540,23 @@ func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
 // tickets in flight. depth-1 IS the synchronous baseline — the window
 // degenerates to submit-then-wait, exactly SubmitBatch's blocking
 // behavior — so the sweep isolates what pipelining buys at equal
-// submitter and lane count: depth ≥ 4 must reach ≥1.3× the depth-1
-// figure. (Single host, single core shared between submitters, WAL
-// committers, and delivery — see BENCH_hub.json for recorded runs and
-// caveats.) Also reports the adaptive scheduler's p99 admission
-// latency.
+// submitter count. Since the committer never paces a commit a caller
+// waits on, depth 1 no longer waits out the commit window per burst,
+// and most of the gap deeper windows used to close is gone. Also
+// reports the adaptive scheduler's p99 admission latency.
 func BenchmarkHubAsyncIngest(b *testing.B) {
-	for _, cfg := range []struct{ lanes, depth, submitters int }{
-		{4, 1, 1}, // synchronous baseline: window of one ticket
-		{4, 4, 1},
-		{4, 8, 1},
+	for _, cfg := range []struct{ depth, submitters int }{
+		{1, 1}, // synchronous baseline: window of one ticket
+		{4, 1},
+		{8, 1},
 	} {
-		b.Run(fmt.Sprintf("lanes-%d-depth-%d-sub-%d", cfg.lanes, cfg.depth, cfg.submitters), func(b *testing.B) {
-			benchHubAsyncIngest(b, cfg.lanes, cfg.depth, cfg.submitters)
+		b.Run(fmt.Sprintf("depth-%d-sub-%d", cfg.depth, cfg.submitters), func(b *testing.B) {
+			benchHubAsyncIngest(b, cfg.depth, cfg.submitters)
 		})
 	}
 }
 
-func benchHubAsyncIngest(b *testing.B, lanes, depth, submitters int) {
+func benchHubAsyncIngest(b *testing.B, depth, submitters int) {
 	const users, alerts, burstSize = 1000, 20000, 64
 	clk := clock.NewReal()
 	b.ReportAllocs()
@@ -581,7 +571,6 @@ func benchHubAsyncIngest(b *testing.B, lanes, depth, submitters int) {
 			Clock: clk, Sink: sink,
 			WALPath: b.TempDir() + "/hub.wal",
 			Shards:  8, QueueDepth: 2048,
-			WALLanes:      lanes,
 			CommitWindow:  2 * time.Millisecond,
 			AsyncInFlight: submitters * depth,
 			RNG:           rng,

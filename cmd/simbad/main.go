@@ -16,7 +16,7 @@
 //
 //	simbad [-hours N] [-pprof ADDR]
 //	simbad -hub [-users N] [-shards K] [-alerts M] [-window D] [-seed S] [-delivery-window W]
-//	       [-wal-lanes L] [-wal-segment-bytes B] [-wal-checkpoint-every R]
+//	       [-wal-segment-bytes B] [-wal-checkpoint-every R]
 //	       [-commit-max-records N] [-async-depth K]
 //	       [-mode-frac F] [-ack-timeout D] [-im-ack-p P]
 //	       [-guaranteed-frac F] [-outbox-dir DIR] [-outbox-backoff D]
@@ -25,13 +25,14 @@
 // With -burst > 1 the portal workload is offered through
 // Hub.SubmitBatch in bursts of that size (amortizing the group-commit
 // durability wait across each burst); -route-batch caps how many
-// queued alerts a shard loop routes per wakeup. -wal-lanes partitions
-// the ingest WAL into that many independent group-commit lanes (0 =
-// one per shard) so shards fsync in parallel; the run report breaks
-// fsync counts and latency down per lane. The -window commit window is
-// an upper bound, not a fixed tax: the adaptive scheduler fires
-// immediately when the log is idle and -commit-max-records force-
-// flushes a window whose staged backlog already justifies the fsync.
+// queued alerts a shard loop routes per wakeup. Every shard shares the
+// one ingest WAL, so the report's records/fsync line is the whole
+// hub's group-commit amplification. The -window commit window is
+// not a tax on acknowledgements: the adaptive scheduler paces only
+// DONE records nobody waits on, commits a record a submitter waits on
+// as soon as the fsync in flight completes, and -commit-max-records
+// force-flushes a window whose staged backlog already justifies the
+// fsync.
 // With -async-depth > 1 each worker pipelines that many
 // SubmitBatchAsync tickets instead of blocking per burst; the report's
 // admission-latency line shows what the submitter-visible durability
@@ -99,7 +100,6 @@ func main() {
 	window := flag.Duration("window", 2*time.Millisecond, "hub: group-commit window")
 	deliveryWindow := flag.Int("delivery-window", 0, "hub: in-flight deliveries per shard (0 = default, 1 = synchronous)")
 	seed := flag.Int64("seed", 1, "hub: RNG seed")
-	walLanes := flag.Int("wal-lanes", 0, "hub: independent WAL lanes, each with its own group commit and fsync pipeline (0 = one per shard)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "hub: WAL segment size before rotation (0 = 4MiB default)")
 	walCkptEvery := flag.Int64("wal-checkpoint-every", 0, "hub: WAL records between checkpoints (0 = default, <0 disables compaction)")
 	modeFrac := flag.Float64("mode-frac", 0.1, "hub: fraction of tenants with a personalized IM-then-email delivery mode")
@@ -132,7 +132,7 @@ func main() {
 		if err := runHub(hubParams{
 			users: *users, shards: *shards, alerts: *alerts,
 			window: *window, deliveryWindow: *deliveryWindow, seed: *seed,
-			walLanes: *walLanes, walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
+			walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
 			modeFrac: *modeFrac, ackTimeout: *ackTimeout, imAckP: *imAckP,
 			burst: *burst, routeBatch: *routeBatch,
 			commitMaxRecords: *commitMaxRecords, asyncDepth: *asyncDepth,
@@ -268,7 +268,6 @@ type hubParams struct {
 	window                    time.Duration
 	deliveryWindow            int
 	seed                      int64
-	walLanes                  int
 	walSegBytes, walCkptEvery int64
 	modeFrac                  float64
 	ackTimeout                time.Duration
@@ -369,7 +368,6 @@ func runHub(p hubParams) error {
 		CommitWindow:       p.window,
 		DeliveryWindow:     p.deliveryWindow,
 		RNG:                rng,
-		WALLanes:           p.walLanes,
 		WALSegmentBytes:    p.walSegBytes,
 		WALCheckpointEvery: p.walCkptEvery,
 		RouteBatch:         p.routeBatch,
@@ -602,17 +600,6 @@ func runHub(p hubParams) error {
 	fmt.Printf("fsync latency (µs): %s\n", h.WALFsyncLatency())
 	fmt.Printf("commit batch sizes (records): %s\n", h.WALBatchSizes())
 	fmt.Printf("staged ingest batch sizes (alerts): %s\n", w.StagedBatches)
-	fmt.Printf("WAL lanes: %d\n", h.WALLanes())
-	fmt.Printf("  %-4s %9s %8s %10s %10s\n", "lane", "records", "fsyncs", "rec/fsync", "disk(MB)")
-	for i, ls := range st.WALPerLane {
-		perFsync := 0.0
-		if ls.Syncs > 0 {
-			perFsync = float64(ls.Total) / float64(ls.Syncs)
-		}
-		fmt.Printf("  %-4d %9d %8d %10.1f %10.2f\n",
-			i, ls.Total, ls.Syncs, perFsync, float64(ls.DiskBytes)/(1<<20))
-		fmt.Printf("       fsync latency (µs): %s\n", ls.FsyncLatency)
-	}
 	lat := h.Latency().Summarize()
 	fmt.Printf("end-to-end latency: mean %v, p50 %v, p99 %v (n=%d)\n",
 		lat.Mean.Round(time.Microsecond), lat.P50.Round(time.Microsecond),

@@ -129,9 +129,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			user := fmt.Sprintf("user-%d", u)
 			r.sequences[user] = sink.sequence(user)
 		}
-		// OpenLanes discovers every lane the 4-shard hub wrote, not just
-		// the base (lane 0) journal.
-		l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+		l, err := plog.OpenGroup(walPath, plog.GroupOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +173,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 	})
 	// Pipelined: up to asyncDepth bursts in flight per user; the ticket
 	// window preserves the user's submission order because bursts stage
-	// in submit order and each lane resolves FIFO.
+	// in submit order and the resolver resolves them FIFO.
 	async := run("submit-async", func(h *Hub, stream []Submission) {
 		const asyncDepth = 4
 		var inflight []*Ticket
@@ -314,7 +312,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 			}
 		}
 	}
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.OpenGroup(walPath, plog.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 // TestHubCrashAsyncTicketBeforeEnqueue is the pipelined-ingest variant
 // of the crash test above: SubmitBatchAsync stages a burst, the commit
 // lands and the ticket resolves (every entry acknowledged), then the
-// hub dies before the lane resolvers enqueue anything. The crash window
+// hub dies before the resolver enqueues anything. The crash window
 // is identical to the synchronous path's — a resolved ticket means
 // durable, not delivered — so the next incarnation must replay and
 // deliver every acknowledged alert exactly once, in per-user order.
@@ -417,7 +415,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 			}
 		}
 	}
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.OpenGroup(walPath, plog.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

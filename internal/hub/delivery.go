@@ -214,8 +214,8 @@ func (d *deliveryStage) release() {
 // The routed alert's wire form is encoded once, into envelope-owned
 // storage, and reused by every attempt; the report lands in the
 // worker's scratch. An envelope that completes (delivered, dropped, or
-// handed off) recycles into the pool after its DONE is staged on its
-// home lane; abandoned paths leave recycling to the GC.
+// handed off) recycles into the pool after its DONE is staged;
+// abandoned paths leave recycling to the GC.
 func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 	h := d.h
 	b := env.buddy
@@ -281,7 +281,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 		return // killed after delivery: the duplicate on replay is the dedup contract's case
 	default:
 	}
-	if err := h.wal.Lane(env.lane).MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
+	if err := h.wal.MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
 		h.ctr.markFailed.Add1()
 	}
 	h.latency.Observe(h.cfg.Clock.Since(env.at))

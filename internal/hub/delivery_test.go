@@ -268,7 +268,7 @@ func TestHubAsyncDeliveryCrashRecovery(t *testing.T) {
 		t.Fatalf("total duplicates %d exceeds user count %d", totalDup, users)
 	}
 	// The WAL is clean: nothing left to replay.
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.OpenGroup(walPath, plog.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

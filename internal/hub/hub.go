@@ -18,19 +18,15 @@
 //     with capped, jittered retry backoff. Alerts for the same user are
 //     chained (per-user FIFO), alerts for different users overlap, so a
 //     slow delivery stalls one tenant's chain instead of the shard.
-//   - Durability is partitioned into per-shard WAL lanes
-//     (plog.LaneSet): each lane is an independent group-commit journal
-//     with its own committer and fsync pipeline, so shards stage and
-//     sync in parallel instead of serializing on one log, while RECV
-//     and DONE records within a lane still batch into one fsync per
-//     commit window — log-before-ack preserved, fsyncs cut by orders
-//     of magnitude. Config.WALLanes tunes the partition width (default
-//     one lane per shard).
-//   - On restart all lanes are recovered concurrently and the merged
-//     unprocessed set (ordered by received-at timestamp — per-user
-//     order is exact because a user's shard, hence lane, is stable) is
-//     replayed through the rebuilt buddies before the hub accepts new
-//     traffic.
+//   - Durability is one group-commit WAL (plog.GroupLog) shared by
+//     every shard: RECV and DONE records from all shards batch into
+//     one fsync per commit window — log-before-ack preserved, fsyncs
+//     cut by orders of magnitude. A burst stages with one call, and a
+//     single FIFO resolver goroutine waits out the commits in staging
+//     order before acking and enqueueing, so admission→log→ack→enqueue
+//     and per-user order hold by construction.
+//   - On restart the WAL's unprocessed set is replayed in log order
+//     through the rebuilt buddies before the hub accepts new traffic.
 //   - Per-shard queue depths, admission rejects, commit-batch sizes,
 //     and end-to-end routing latency are exposed via internal/metrics;
 //     Drain stops intake, lets the shards finish their queues, and
@@ -41,6 +37,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -103,9 +101,9 @@ const (
 	// DefaultAsyncInFlight caps the hub-wide number of unresolved
 	// SubmitBatchAsync tickets when Config.AsyncInFlight is zero.
 	DefaultAsyncInFlight = 256
-	// laneQueueDepth buffers each WAL lane's commit-resolver inbox; a
-	// full inbox backpressures stagers onto the resolver.
-	laneQueueDepth = 128
+	// resolverQueueDepth buffers the commit resolver's inbox; a full
+	// inbox backpressures stagers onto the resolver.
+	resolverQueueDepth = 128
 )
 
 // keySep joins the tenant ID and the alert's dedup key inside WAL
@@ -186,36 +184,27 @@ type Config struct {
 	// (block fallback trace) and the attempt's error, nil on success.
 	// Must be safe for concurrent calls.
 	OnDelivery func(user string, rep *core.Report, err error)
-	// WALPath is the journal base path; required. Lane 0 lives at this
-	// path (so a 1-lane hub's journal is identical to the historical
-	// single-WAL layout) and lane i at "<WALPath>.lane<NN>".
+	// WALPath is the journal base path; required. Segments and
+	// checkpoints live alongside it (see internal/plog).
 	WALPath string
-	// WALLanes is the number of independent WAL lanes durability is
-	// partitioned across; each shard appends to lane shard%WALLanes, so
-	// lanes stage and fsync in parallel. Zero means one lane per shard;
-	// values above Shards are clamped (extra lanes would never be
-	// routed to). Lanes left by a previous run with a higher count are
-	// still recovered and replayed.
-	WALLanes int
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
 	// QueueDepth bounds each shard's inbound queue; zero means
 	// DefaultQueueDepth.
 	QueueDepth int
-	// CommitWindow is the group-commit window's upper bound (wall
-	// clock). The commit schedule is adaptive (plog.GroupOptions.Window):
-	// an append that ends an idle spell commits immediately, so the
-	// window taxes only steady streams. Zero commits as soon as the
-	// previous fsync finishes.
+	// CommitWindow bounds how long DONE records may wait to ride along
+	// with the next fsync (plog.GroupOptions.Window); RECV records,
+	// which a submitter waits on, are never held for it. Zero commits
+	// as soon as the previous fsync finishes.
 	CommitWindow time.Duration
 	// CommitMaxBatch caps WAL lines per fsync; zero means
 	// DefaultCommitMaxBatch.
 	CommitMaxBatch int
 	// CommitMaxRecords force-flushes an in-progress commit window once
-	// a lane's staged backlog reaches this many journal lines, so heavy
+	// the WAL's staged backlog reaches this many journal lines, so heavy
 	// bursts never wait out the timer. Zero means CommitMaxBatch.
 	CommitMaxRecords int
-	// CommitMaxBytes force-flushes once a lane's staged backlog reaches
+	// CommitMaxBytes force-flushes once the WAL's staged backlog reaches
 	// this many encoded bytes. Zero means plog's default (1 MiB).
 	CommitMaxBytes int
 	// AsyncInFlight caps the hub-wide number of unresolved
@@ -467,11 +456,11 @@ func (b *Buddy) Routed() int64 { return b.routed.Load() }
 // Delivered returns how many alerts the sink accepted for the tenant.
 func (b *Buddy) Delivered() int64 { return b.delivered.Load() }
 
-// Hub hosts N per-user buddies across K shards over per-shard
-// group-commit WAL lanes. It is safe for concurrent use.
+// Hub hosts N per-user buddies across K shards over one group-commit
+// WAL. It is safe for concurrent use.
 type Hub struct {
 	cfg    Config
-	wal    *plog.LaneSet
+	wal    *plog.GroupLog
 	shards []*shard
 	// outbox is the guaranteed-tier retry outbox; nil when
 	// Config.OutboxPath is empty.
@@ -491,12 +480,12 @@ type Hub struct {
 	users   map[string]*Buddy
 	started bool
 
-	// Pipelined ingest plumbing: each WAL lane has a FIFO resolver
-	// goroutine that waits out staged bursts' commit tickets in staging
-	// order and only then enqueues them to their shards — the deferred
-	// enqueue that keeps admission→log→ack→enqueue ordering intact when
-	// submitters hold several batches in flight.
-	laneq []chan *lanePart
+	// Pipelined ingest plumbing: one FIFO resolver goroutine waits out
+	// staged bursts' commits in staging order and only then enqueues
+	// them to their shards — the deferred enqueue that keeps
+	// admission→log→ack→enqueue ordering intact when submitters hold
+	// several batches in flight.
+	resolveq chan *Ticket
 	// asyncSem bounds unresolved SubmitBatchAsync tickets
 	// (Config.AsyncInFlight); ingestPending counts staged-but-unresolved
 	// tickets of either path so Drain can wait out deferred enqueues.
@@ -536,7 +525,7 @@ type Hub struct {
 	queueWait  *metrics.Recorder
 	routeLat   *metrics.Recorder
 	deliverLat *metrics.Recorder
-	// admitLat is submit → burst acknowledged (every lane durable) —
+	// admitLat is submit → burst acknowledged (durable) —
 	// the admission latency the adaptive commit scheduler shrinks.
 	admitLat *metrics.Recorder
 }
@@ -598,10 +587,11 @@ func New(cfg Config) (*Hub, error) {
 	case cfg.WALCheckpointEvery < 0:
 		cfg.WALCheckpointEvery = 0 // disable background compaction
 	}
-	if cfg.WALLanes <= 0 || cfg.WALLanes > cfg.Shards {
-		cfg.WALLanes = cfg.Shards
+	if lanes := laneFiles(cfg.WALPath); len(lanes) > 0 {
+		return nil, fmt.Errorf("hub: WAL %s has lane files from a multi-lane layout this version does not read; "+
+			"drain them with the version that wrote them before upgrading: %s", cfg.WALPath, strings.Join(lanes, ", "))
 	}
-	wal, err := plog.OpenLanes(cfg.WALPath, cfg.WALLanes, plog.GroupOptions{
+	wal, err := plog.OpenGroup(cfg.WALPath, plog.GroupOptions{
 		Window:           cfg.CommitWindow,
 		MaxBatch:         cfg.CommitMaxBatch,
 		CommitMaxRecords: cfg.CommitMaxRecords,
@@ -627,10 +617,7 @@ func New(cfg Config) (*Hub, error) {
 		deliverLat: metrics.NewReservoir(cfg.LatencyReservoir),
 		admitLat:   metrics.NewReservoir(cfg.LatencyReservoir),
 		asyncSem:   make(chan struct{}, cfg.AsyncInFlight),
-	}
-	h.laneq = make([]chan *lanePart, cfg.WALLanes)
-	for i := range h.laneq {
-		h.laneq[i] = make(chan *lanePart, laneQueueDepth)
+		resolveq:   make(chan *Ticket, resolverQueueDepth),
 	}
 	h.ctr.received = h.counters.Counter("received")
 	h.ctr.duplicates = h.counters.Counter("duplicates")
@@ -702,6 +689,20 @@ func New(cfg Config) (*Hub, error) {
 		h.outbox = ob
 	}
 	return h, nil
+}
+
+// laneFiles lists the "<walPath>.lane*" files an earlier multi-lane
+// WAL layout left beside walPath. Opening only the base journal would
+// strand the acked alerts they hold.
+func laneFiles(walPath string) []string {
+	entries, _ := os.ReadDir(filepath.Dir(walPath))
+	var out []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), filepath.Base(walPath)+".lane") {
+			out = append(out, filepath.Join(filepath.Dir(walPath), e.Name()))
+		}
+	}
+	return out
 }
 
 // Outbox returns the guaranteed-tier retry outbox, nil when the hub
@@ -805,12 +806,6 @@ func (h *Hub) shardOf(user string) *shard {
 	return h.shards[int(f.Sum32())%len(h.shards)]
 }
 
-// laneFor maps a shard onto its WAL lane. The mapping is pure
-// arithmetic on stable inputs, so a user's records always land in the
-// same lane while the lane count is unchanged — the invariant that
-// makes merged lane replay order-exact per user.
-func (h *Hub) laneFor(shardID int) int { return shardID % h.cfg.WALLanes }
-
 // Start launches the shard loops, starts the outbox redelivery loop
 // over the envelopes it recovered, replays every user's unprocessed
 // WAL entries through their rebuilt buddies, and only then opens
@@ -844,9 +839,7 @@ func (h *Hub) Start() error {
 		}
 	}
 	h.replay()
-	for _, ch := range h.laneq {
-		go h.laneResolver(ch)
-	}
+	go h.resolver()
 	h.accepting.Store(true)
 	return nil
 }
@@ -896,33 +889,29 @@ func (h *Hub) deliveredViaCounterFor(t addr.Type) *metrics.Counter {
 	return h.counters.Counter(deliveredViaCounter(t))
 }
 
-// replay re-enqueues the WAL lanes' unprocessed entries, merged by
-// received-at timestamp (exact per-user order — a user's lane is
-// stable). Runs before admission opens, so replayed alerts are routed
-// ahead of new traffic. Each envelope remembers the lane that owns its
-// record — possibly a stale lane beyond the configured count — so its
-// eventual DONE retires the right journal.
+// replay re-enqueues the WAL's unprocessed entries in log order, which
+// is per-user submission order. Runs before admission opens, so
+// replayed alerts are routed ahead of new traffic.
 func (h *Hub) replay() {
 	for _, rec := range h.wal.Unprocessed() {
-		lane := h.wal.Lane(rec.Lane)
 		user, _, ok := strings.Cut(rec.Key, keySep)
 		if !ok {
 			h.journal(faults.KindReplay, "tombstoning WAL entry with malformed key %q", rec.Key)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+			_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 			h.counters.Add1("tombstoned")
 			continue
 		}
 		b, hosted := h.buddy(user)
 		if !hosted {
 			h.journal(faults.KindReplay, "tombstoning WAL entry for unhosted user %q", user)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+			_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 			h.counters.Add1("tombstoned")
 			continue
 		}
 		var a alert.Alert
 		if err := a.UnmarshalText(rec.Payload); err != nil {
 			h.journal(faults.KindReplay, "tombstoning unparsable WAL entry %q: %v", rec.Key, err)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+			_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 			h.counters.Add1("tombstoned")
 			continue
 		}
@@ -931,7 +920,7 @@ func (h *Hub) replay() {
 		sh := h.shardOf(user)
 		sh.reserveBlocking() // startup: loops are draining, so this cannot wedge
 		env := getEnvelope()
-		env.fill(b, &a, rec.Key, rec.Lane, h.cfg.Clock.Now())
+		env.fill(b, &a, rec.Key, h.cfg.Clock.Now())
 		sh.enqueue(env)
 	}
 }
@@ -960,29 +949,28 @@ type submitPending struct {
 	sh    *shard
 	a     *alert.Alert
 	key   string
-	lane  int
 	dup   bool // already durable (or duplicated within the burst): re-ack only
-	// env is the pooled envelope filled in pass 3 (fresh admissions
-	// only): its inline alert copy backs the WAL payload encode and is
-	// what the shard routes, so the submitter's alert is never aliased.
-	env *envelope
 }
 
 // Ticket is a pending acknowledgement from SubmitBatchAsync (and,
 // internally, SubmitBatch): the burst's RECV records are staged into
-// the WAL lanes' group commits, and the ticket resolves once every
-// lane's fsync lands and the admitted entries are enqueued to their
-// shards. Until then nothing is acknowledged and nothing is routed —
-// the admission→log→ack→enqueue order of a synchronous submit is
+// the WAL's group commit, and the ticket resolves once that fsync
+// lands and the admitted entries are enqueued to their shards. Until
+// then nothing is acknowledged and nothing is routed — the
+// admission→log→ack→enqueue order of a synchronous submit is
 // preserved; the submitter has merely stopped standing in it.
 type Ticket struct {
 	errs        []error
-	pending     atomic.Int32 // unresolved lane parts
 	done        chan struct{}
 	onCommitted func([]error)
 	start       time.Time
-	staged      bool // at least one lane part was dispatched to a resolver
 	sem         bool // holds an async backpressure slot until resolved
+	// staged marks a burst handed to the resolver: c is its group
+	// commit and entries the burst entries (fresh envelopes and
+	// duplicate re-acks) whose fate that commit decides.
+	staged  bool
+	c       plog.Commit
+	entries []ticketEntry
 }
 
 // Done is closed when the ticket has resolved (every entry acked or
@@ -999,21 +987,8 @@ func (t *Ticket) Wait() []error {
 	return t.errs
 }
 
-// lanePart is the slice of one staged burst that landed in a single
-// WAL lane: the lane's commit ticket plus the burst entries (fresh
-// envelopes and duplicate re-acks) whose fate that commit decides. The
-// lane's resolver goroutine processes parts strictly in staging order,
-// so deferred enqueues can never reorder a user's alerts — a user's
-// shard, hence lane, is stable.
-type lanePart struct {
-	t       *Ticket
-	c       plog.Commit
-	lane    int
-	entries []partEntry
-}
-
-// partEntry is one burst entry inside a lanePart.
-type partEntry struct {
+// ticketEntry is one staged burst entry awaiting its commit.
+type ticketEntry struct {
 	idx   int
 	dup   bool
 	buddy *Buddy
@@ -1033,8 +1008,7 @@ type partEntry struct {
 //
 // Entries that fail before staging (invalid alert, unknown user,
 // overloaded shard) are reported in the ticket's results exactly as
-// SubmitBatch reports them. A lane whose fsync fails NACKs only that
-// lane's entries — other lanes' entries stay acknowledged.
+// SubmitBatch reports them. A failed fsync NACKs the whole burst.
 func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) *Ticket {
 	if !h.accepting.Load() {
 		return h.rejectedTicket(subs, onCommitted)
@@ -1074,8 +1048,8 @@ func (h *Hub) rejectedTicket(subs []Submission, onCommitted func([]error)) *Tick
 // the original is durable.
 //
 // SubmitBatch is the staging half of SubmitBatchAsync followed
-// immediately by Wait: the deferred enqueue runs on the same per-lane
-// resolvers, so the synchronous and pipelined paths cannot reorder
+// immediately by Wait: the deferred enqueue runs on the same
+// resolver, so the synchronous and pipelined paths cannot reorder
 // each other's entries.
 func (h *Hub) SubmitBatch(subs []Submission) []error {
 	if len(subs) == 0 {
@@ -1093,10 +1067,9 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
 // validate and dedup the burst, bulk-reserve admission, marshal the
-// admitted entries, and stage every lane's RECV slice into its group
-// commit. The returned Ticket resolves on the lanes' resolver
-// goroutines once the commits land (or synchronously here, when
-// nothing staged).
+// admitted entries, and stage the burst's RECV records into one group
+// commit. The returned Ticket resolves on the resolver goroutine once
+// the commit lands (or synchronously here, when nothing staged).
 func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ticket {
 	errs := make([]error, len(subs))
 	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted, sem: sem}
@@ -1136,18 +1109,12 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		keyBuf = s.Alert.AppendDedupKey(keyBuf)
 		key := string(keyBuf)
 		sh := h.shardOf(s.User)
-		lane := h.laneFor(sh.id)
 		inBurst := false
 		if seen != nil {
 			_, inBurst = seen[key]
 		}
-		// Dedup checks only the user's home lane: that is where a stable
-		// shard→lane mapping always put (and will put) the key. A record
-		// stranded in a foreign lane by a lane-count change re-logs
-		// fresh here and replays as a duplicate delivery, which the
-		// downstream timestamp dedup discards.
-		if inBurst || h.wal.Lane(lane).Has(key) {
-			pending = append(pending, submitPending{idx: i, buddy: b, key: key, lane: lane, dup: true})
+		if inBurst || h.wal.Has(key) {
+			pending = append(pending, submitPending{idx: i, buddy: b, key: key, dup: true})
 			continue
 		}
 		if seen == nil {
@@ -1155,7 +1122,7 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		}
 		seen[key] = struct{}{}
 		counts[sh.id]++
-		pending = append(pending, submitPending{idx: i, buddy: b, sh: sh, a: s.Alert, key: key, lane: lane})
+		pending = append(pending, submitPending{idx: i, buddy: b, sh: sh, a: s.Alert, key: key})
 	}
 	if len(pending) == 0 {
 		h.finishTicket(t)
@@ -1173,19 +1140,16 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			granted[id] = h.shards[id].reserveN(counts[id])
 		}
 	}
-	// Pass 3: marshal the admitted entries and split the burst by WAL
-	// lane — the journal entries the lane stages plus the parallel
-	// partEntry bookkeeping its resolver needs (duplicates ride along
-	// as idempotent no-ops so their re-ack waits for the original's
-	// durability).
-	byLane := make([][]plog.BatchEntry, h.cfg.WALLanes)
-	byPart := make([][]partEntry, h.cfg.WALLanes)
-	staged := 0
+	// Pass 3: marshal the admitted entries — the journal entries to
+	// stage plus the parallel ticketEntry bookkeeping the resolver
+	// needs (duplicates ride along as idempotent no-ops so their re-ack
+	// waits for the original's durability).
+	batch := make([]plog.BatchEntry, 0, len(pending))
+	t.entries = make([]ticketEntry, 0, len(pending))
 	for _, p := range pending {
 		if p.dup {
-			byLane[p.lane] = append(byLane[p.lane], plog.BatchEntry{Key: p.key, At: now})
-			byPart[p.lane] = append(byPart[p.lane], partEntry{idx: p.idx, dup: true, buddy: p.buddy})
-			staged++
+			batch = append(batch, plog.BatchEntry{Key: p.key, At: now})
+			t.entries = append(t.entries, ticketEntry{idx: p.idx, dup: true, buddy: p.buddy})
 			continue
 		}
 		if granted[p.sh.id] <= 0 {
@@ -1204,7 +1168,7 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		// synchronously while staging, so the buffer is reusable the
 		// moment LogReceivedBatchStart returns.
 		env := getEnvelope()
-		env.fill(p.buddy, p.a, p.key, p.lane, now)
+		env.fill(p.buddy, p.a, p.key, now)
 		payload, err := env.alert.AppendWire(env.payload[:0])
 		if err != nil {
 			putEnvelope(env)
@@ -1214,74 +1178,49 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			continue
 		}
 		env.payload = payload
-		byLane[p.lane] = append(byLane[p.lane], plog.BatchEntry{Key: p.key, Payload: payload, At: now})
-		byPart[p.lane] = append(byPart[p.lane], partEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
-		staged++
+		batch = append(batch, plog.BatchEntry{Key: p.key, Payload: payload, At: now})
+		t.entries = append(t.entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
-	if staged == 0 {
+	if len(batch) == 0 {
 		h.finishTicket(t)
 		return t
 	}
 
-	// Pessimistic logging with parallel group commit: stage every
-	// lane's slice of the burst (each join signals that lane's
-	// committer), collecting one lanePart per touched lane. A staging
-	// failure NACKs the whole burst before any part is dispatched:
-	// entries already staged on other lanes stay durable and replay on
-	// the next restart, where the dedup contract absorbs them; a sender
-	// retry meanwhile re-acks them as duplicates.
-	parts := make([]*lanePart, 0, len(byLane))
-	for lane, entries := range byLane {
-		if len(entries) == 0 {
-			continue
-		}
-		c, err := h.wal.Lane(lane).LogReceivedBatchStart(entries)
-		if err != nil {
-			for _, lp := range byPart {
-				for i := range lp {
-					if !lp[i].dup {
-						lp[i].sh.release()
-					}
-					errs[lp[i].idx] = err
-				}
-			}
-			h.finishTicket(t)
-			return t
-		}
-		parts = append(parts, &lanePart{t: t, c: c, lane: lane, entries: byPart[lane]})
+	// Pessimistic logging with group commit: stage the burst (the join
+	// signals the committer) and hand the ticket to the resolver, which
+	// waits out the commit in staging order and completes the ack +
+	// deferred enqueue. A staging failure NACKs the whole burst.
+	c, err := h.wal.LogReceivedBatchStart(batch)
+	if err != nil {
+		h.nack(t, err)
+		return t
 	}
-
-	// Dispatch the parts to their lanes' resolvers, which wait out the
-	// commits in staging order and complete the ack + deferred enqueue.
-	// The ticket resolves when the last part does.
+	t.c = c
 	t.staged = true
-	t.pending.Store(int32(len(parts)))
 	h.ingestPending.Add(1)
-	for _, p := range parts {
-		h.laneq[p.lane] <- p
-	}
+	h.resolveq <- t
 	return t
 }
 
-// laneResolver is one WAL lane's commit-resolver goroutine: it
-// processes the lane's staged burst parts strictly in staging order —
-// waiting out each part's group commit, acknowledging, and enqueueing
-// the entries to their shards. FIFO order here is what lets deferred
-// enqueues preserve per-user submission order: commits within a lane
-// resolve in batch order, and two bursts sharing one commit batch are
-// still enqueued in the order they staged. After the hub stops, the
-// resolver drains whatever is buffered (commits resolve instantly once
-// the closed WAL flushed them) and exits.
-func (h *Hub) laneResolver(ch chan *lanePart) {
+// resolver is the commit-resolver goroutine: it resolves staged
+// bursts strictly in the order they were queued — waiting out each
+// burst's group commit, acknowledging, and enqueueing the entries to
+// their shards. A submitter queues its bursts in staging order,
+// commits resolve in batch order, and two bursts sharing one commit
+// batch are still enqueued in queue order, which is what lets
+// deferred enqueues preserve per-user submission order. After the hub
+// stops, the resolver drains whatever is buffered (commits resolve
+// instantly once the closed WAL flushed them) and exits.
+func (h *Hub) resolver() {
 	for {
 		select {
-		case p := <-ch:
-			h.resolvePart(p)
+		case t := <-h.resolveq:
+			h.resolve(t)
 		case <-h.stopped:
 			for {
 				select {
-				case p := <-ch:
-					h.resolvePart(p)
+				case t := <-h.resolveq:
+					h.resolve(t)
 				default:
 					return
 				}
@@ -1290,38 +1229,28 @@ func (h *Hub) laneResolver(ch chan *lanePart) {
 	}
 }
 
-// resolvePart completes one lane's slice of a staged burst once its
-// group commit lands: bump the received/duplicate counters, stamp the
-// ack time, and enqueue the fresh envelopes to their shards. A commit
-// error NACKs only this part's entries (slots released, envelopes
-// abandoned to the collector — they may still be referenced by the
-// failed batch).
-func (h *Hub) resolvePart(p *lanePart) {
-	if err := p.c.Wait(); err != nil {
-		for i := range p.entries {
-			e := &p.entries[i]
-			if !e.dup {
-				e.sh.release()
-			}
-			p.t.errs[e.idx] = err
-		}
-		h.resolvedPart(p.t)
+// resolve completes a staged burst once its group commit lands: bump
+// the received/duplicate counters, stamp the ack time, and enqueue the
+// fresh envelopes to their shards. A commit error NACKs the burst.
+func (h *Hub) resolve(t *Ticket) {
+	if err := t.c.Wait(); err != nil {
+		h.nack(t, err)
 		return
 	}
-	// Fault injection: the part is durable (its callers are acked) but
+	// Fault injection: the burst is durable (its callers are acked) but
 	// nothing is enqueued — the next incarnation must replay it.
 	if f := h.cfg.CrashAfterBatchFsync; f != nil && f.Active() {
 		h.crashOnce.Do(func() {
 			h.journal(faults.KindFaultInjected,
-				"hub killed between batch fsync and enqueue (%d staged alerts)", len(p.entries))
+				"hub killed between batch fsync and enqueue (%d staged alerts)", len(t.entries))
 			h.Kill()
 		})
-		h.resolvedPart(p.t)
+		h.finishTicket(t)
 		return
 	}
 	acked := h.cfg.Clock.Now() // post-fsync: latency measures ack → processed
-	for i := range p.entries {
-		e := &p.entries[i]
+	for i := range t.entries {
+		e := &t.entries[i]
 		if e.dup {
 			h.ctr.duplicates.Add1()
 			// The routing category (and with it any per-category tier
@@ -1334,15 +1263,22 @@ func (h *Hub) resolvePart(p *lanePart) {
 		e.env.at = acked // latency measures ack → processed
 		e.sh.enqueue(e.env)
 	}
-	h.resolvedPart(p.t)
+	h.finishTicket(t)
 }
 
-// resolvedPart retires one lane part; the last part resolves the
-// ticket.
-func (h *Hub) resolvedPart(t *Ticket) {
-	if t.pending.Add(-1) == 0 {
-		h.finishTicket(t)
+// nack fails every staged entry of t with err, releasing the fresh
+// entries' admission slots (their envelopes are abandoned to the
+// collector — a failed batch may still reference them), and resolves
+// the ticket.
+func (h *Hub) nack(t *Ticket, err error) {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.dup {
+			e.sh.release()
+		}
+		t.errs[e.idx] = err
 	}
+	h.finishTicket(t)
 }
 
 // finishTicket resolves a ticket: observe the admission latency (for
@@ -1495,31 +1431,7 @@ func (h *Hub) processBatch(sh *shard, g *shardGen, envs []*envelope, scr *routeS
 // replay, which the dedup contract covers; Drain/Close still flush
 // every staged record.
 func (h *Hub) finishBatch(sh *shard, envs []*envelope, keys []string) {
-	now := h.cfg.Clock.Now()
-	// A shard's fresh traffic all lives in one lane, so the common case
-	// stages the whole batch there in one call; mixed lanes appear only
-	// right after a restart, when replayed foreign-lane records share
-	// the queue with new traffic.
-	lane, uniform := envs[0].lane, true
-	for i := 1; i < len(envs); i++ {
-		if envs[i].lane != lane {
-			uniform = false
-			break
-		}
-	}
-	var markErrs []error
-	if uniform {
-		markErrs = h.wal.Lane(lane).MarkProcessedBatchAsync(keys, now)
-	} else {
-		for i, env := range envs {
-			if err := h.wal.Lane(env.lane).MarkProcessedAsync(keys[i], now); err != nil {
-				if markErrs == nil {
-					markErrs = make([]error, len(envs))
-				}
-				markErrs[i] = err
-			}
-		}
-	}
+	markErrs := h.wal.MarkProcessedBatchAsync(keys, h.cfg.Clock.Now())
 	done := h.cfg.Clock.Now()
 	for i, env := range envs {
 		if markErrs != nil && markErrs[i] != nil && !errors.Is(markErrs[i], plog.ErrClosed) {
@@ -1527,7 +1439,7 @@ func (h *Hub) finishBatch(sh *shard, envs []*envelope, keys []string) {
 		}
 		h.latency.Observe(done.Sub(env.at))
 		sh.release()
-		putEnvelope(env) // DONE staged on the home lane, slot released: recycle
+		putEnvelope(env) // DONE staged, slot released: recycle
 	}
 }
 
@@ -1612,7 +1524,7 @@ func (h *Hub) Drain() error {
 	h.accepting.Store(false)
 	// Quiesce the async ingest pipeline: tickets already admitted keep
 	// their ordering contract (commit → ack → enqueue), so wait for the
-	// lane resolvers to retire every outstanding burst before closing
+	// resolver to retire every outstanding burst before closing
 	// shard intake. Bounded — a wedged WAL resolves tickets with errors
 	// on Close below anyway.
 	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
@@ -1698,10 +1610,9 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	}
 
 	type replayRec struct {
-		b    *Buddy
-		a    alert.Alert
-		key  string
-		lane int
+		b   *Buddy
+		a   alert.Alert
+		key string
 	}
 	var backlog []replayRec
 	suppress := make(map[string]struct{})
@@ -1713,18 +1624,17 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		if h.shardOf(user) != sh {
 			continue
 		}
-		lane := h.wal.Lane(rec.Lane)
 		b, hosted := h.buddy(user)
 		if !hosted {
 			h.journal(faults.KindReplay, "shard %d: tombstoning WAL entry for unhosted user %q", sh.id, user)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+			_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 			h.counters.Add1("tombstoned")
 			continue
 		}
-		r := replayRec{b: b, key: rec.Key, lane: rec.Lane}
+		r := replayRec{b: b, key: rec.Key}
 		if err := r.a.UnmarshalText(rec.Payload); err != nil {
 			h.journal(faults.KindReplay, "shard %d: tombstoning unparsable WAL entry %q: %v", sh.id, rec.Key, err)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+			_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 			h.counters.Add1("tombstoned")
 			continue
 		}
@@ -1756,7 +1666,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		h.counters.Add1("replayed")
 		sh.reserveBlocking() // the new loop is live and draining, so this cannot wedge
 		env := getEnvelope()
-		env.fill(r.b, &r.a, r.key, r.lane, h.cfg.Clock.Now())
+		env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
 		sh.enqueueReplay(env)
 	}
 	sh.restarts.Add(1)
@@ -1877,7 +1787,7 @@ func (h *Hub) Healths() []Health {
 	return out
 }
 
-// WALBacklog returns the lanes' live not-yet-processed record count —
+// WALBacklog returns the WAL's live not-yet-processed record count —
 // the replay debt a restart would face right now.
 func (h *Hub) WALBacklog() int { return h.wal.Pending() }
 
@@ -1998,14 +1908,11 @@ type Stats struct {
 	// Outbox is the retry outbox's snapshot; nil when the hub runs
 	// without one.
 	Outbox *outbox.Stats
-	// WAL is the aggregated journal snapshot across every lane:
-	// counters (fsyncs, staged batches, corrupt records, disk bytes)
-	// summed, histograms merged.
+	// WAL is the journal's own snapshot: fsyncs, staged batches,
+	// corrupt records, disk bytes, and latency histograms.
 	WAL plog.Stats
-	// WALPerLane is each lane's own snapshot, index-aligned with the
-	// lane numbering (lane 0 is the base journal path). Each entry
-	// carries its lane's Syncs and FsyncLatency, so per-lane fsync
-	// behavior — one slow disk region, one hot shard — is visible.
+	// WALPerLane is WAL as a one-element slice, kept for readers that
+	// predate the single-WAL layout.
 	WALPerLane []plog.Stats
 }
 
@@ -2013,12 +1920,12 @@ type Stats struct {
 // commit statistics.
 func (h *Hub) Stats() Stats {
 	s := Stats{
-		Users:      h.Users(),
-		Appends:    h.wal.Appended(),
-		Syncs:      h.wal.Syncs(),
-		WAL:        h.wal.Stats(),
-		WALPerLane: h.wal.PerLaneStats(),
+		Users:   h.Users(),
+		Appends: h.wal.Appended(),
+		Syncs:   h.wal.Syncs(),
+		WAL:     h.wal.Stats(),
 	}
+	s.WALPerLane = []plog.Stats{s.WAL}
 	for _, t := range []addr.Type{addr.TypeIM, addr.TypeSMS, addr.TypeEmail, addr.TypeSink} {
 		if n := h.counters.Get(deliveredViaCounter(t)); n > 0 {
 			if s.DeliveredByChannel == nil {
@@ -2062,27 +1969,22 @@ func (h *Hub) Stats() Stats {
 	return s
 }
 
-// WALSyncs returns the number of fsyncs issued across all WAL lanes.
+// WALSyncs returns the number of WAL fsyncs issued.
 func (h *Hub) WALSyncs() int64 { return h.wal.Syncs() }
 
-// WALAppends returns the number of records staged across all WAL lanes.
+// WALAppends returns the number of WAL records staged.
 func (h *Hub) WALAppends() int64 { return h.wal.Appended() }
 
-// WALLanes returns the number of open WAL lanes (the configured count,
-// plus any stale lanes recovered from a previous run).
-func (h *Hub) WALLanes() int { return h.wal.Lanes() }
-
 // WALFsyncLatency returns the fsync-latency histogram (microseconds
-// per fsync) merged across lanes.
+// per fsync).
 func (h *Hub) WALFsyncLatency() metrics.HistogramSnapshot { return h.wal.FsyncLatency() }
 
 // WALBatchSizes returns the group-commit batch-size histogram (journal
-// records per fsync) merged across lanes.
+// records per fsync).
 func (h *Hub) WALBatchSizes() metrics.HistogramSnapshot { return h.wal.BatchSizes() }
 
-// CheckpointWAL forces a checkpoint + segment compaction on every WAL
-// lane, as the background compactors would at the WALCheckpointEvery
-// threshold.
+// CheckpointWAL forces a WAL checkpoint + segment compaction, as the
+// background compactor would at the WALCheckpointEvery threshold.
 func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }
 
 func (h *Hub) journal(kind faults.Kind, format string, args ...any) {

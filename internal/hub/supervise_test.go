@@ -16,7 +16,7 @@ import (
 // hook wedges one shard's route loop mid-batch, sibling shards keep
 // delivering while it hangs, and the supervision plane detects the
 // stall from the shard's stale progress beat, kills the generation,
-// and replays its WAL lane — with the wedged alert delivered exactly
+// and replays its WAL backlog — with the wedged alert delivered exactly
 // once and a visible generation bump.
 func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	const users = 32

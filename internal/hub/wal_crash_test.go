@@ -236,34 +236,26 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	}
 }
 
-// laneActiveSegment returns the highest-numbered segment of one lane's
-// journal (zero-padded sequence numbers sort lexically).
-func laneActiveSegment(t *testing.T, lanePath string) string {
+// activeSegment returns the highest-numbered segment of the WAL
+// (zero-padded sequence numbers sort lexically).
+func activeSegment(t *testing.T, walPath string) string {
 	t.Helper()
-	all, err := filepath.Glob(lanePath + ".*.seg")
+	matches, err := filepath.Glob(walPath + ".*.seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lane 0's base-path glob also matches the other lanes' segments
-	// (hub.wal.lane03.00000001.seg); keep only this lane's own files.
-	var matches []string
-	for _, m := range all {
-		if !strings.HasPrefix(m, lanePath+".lane") {
-			matches = append(matches, m)
-		}
-	}
 	if len(matches) == 0 {
-		t.Fatalf("no segments for lane %s", lanePath)
+		t.Fatalf("no segments for %s", walPath)
 	}
 	sort.Strings(matches)
 	return matches[len(matches)-1]
 }
 
-// laneFrames walks one binary segment by its length prefixes and
+// segmentFrames walks one binary segment by its length prefixes and
 // returns how many complete frames it holds and where valid data ends
 // (the preallocated zero tail parses as a zero length and stops the
 // walk, exactly like recovery).
-func laneFrames(t *testing.T, path string) (frames int, validEnd int64) {
+func segmentFrames(t *testing.T, path string) (frames int, validEnd int64) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -282,13 +274,12 @@ func laneFrames(t *testing.T, path string) (frames int, validEnd int64) {
 	return frames, int64(off)
 }
 
-// TestHubCrashTearsOneLaneWhileOthersCommit simulates the machine
-// dying while one WAL lane's fsync was still in flight: the other
-// lanes' batches are fully committed, the torn lane ends mid-frame.
-// Recovery must replay every record from the intact lanes plus the
-// torn lane's valid prefix, isolate the loss to that one lane, and
+// TestHubCrashTearsLastWALFrame simulates the machine dying while the
+// WAL's last write was still reaching the disk: the burst's final
+// frame is torn mid-record. Recovery must replay every other acked
+// alert exactly once, treat the torn tail as clean (not corrupt), and
 // dedup a re-submission of the burst down to exactly the torn record.
-func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
+func TestHubCrashTearsLastWALFrame(t *testing.T) {
 	const users, perUser = 8, 4
 	walPath := filepath.Join(t.TempDir(), "hub.wal")
 	clk := clock.NewReal()
@@ -319,8 +310,8 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 			keys = append(keys, user+"/"+a.DedupKey())
 		}
 	}
-	// The kill lands after all four lanes fsynced, before any enqueue:
-	// every record is durable somewhere on disk, nothing delivered.
+	// The kill lands after the burst's fsync, before any enqueue: every
+	// record is durable, nothing delivered.
 	crash.Set(true, clk.Now())
 	for i, err := range h1.SubmitBatch(burst) {
 		if err != nil {
@@ -333,30 +324,13 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 		t.Fatal("hub did not stop after injected crash")
 	}
 
-	// The burst spread across all four lanes; now tear one lane's tail
-	// mid-frame, as if that lane's last write never finished hitting
-	// the platter.
-	perLane := make([]int, 4)
-	total := 0
-	for lane := range perLane {
-		perLane[lane], _ = laneFrames(t, laneActiveSegment(t, plog.LanePath(walPath, lane)))
-		total += perLane[lane]
+	// The burst is one run of frames in submit order; tear the last one
+	// mid-frame, as if the write never finished hitting the platter.
+	seg := activeSegment(t, walPath)
+	frames, validEnd := segmentFrames(t, seg)
+	if frames != len(burst) {
+		t.Fatalf("WAL holds %d records, want %d", frames, len(burst))
 	}
-	if total != len(burst) {
-		t.Fatalf("lanes hold %d records, want %d", total, len(burst))
-	}
-	torn := -1
-	for lane, n := range perLane {
-		if n >= 2 {
-			torn = lane
-			break
-		}
-	}
-	if torn < 0 {
-		t.Fatal("no lane holds >= 2 records; user hashing changed?")
-	}
-	seg := laneActiveSegment(t, plog.LanePath(walPath, torn))
-	_, validEnd := laneFrames(t, seg)
 	if err := os.Truncate(seg, validEnd-5); err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +353,11 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	if st.WAL.CorruptRecords != 0 {
 		t.Fatalf("clean torn tail counted as %d corrupt records", st.WAL.CorruptRecords)
 	}
-	if len(st.WALPerLane) != 4 {
-		t.Fatalf("per-lane stats cover %d lanes, want 4", len(st.WALPerLane))
+	if st.WAL.Total != int64(len(burst)-1) {
+		t.Fatalf("WAL recovered %d records, want %d", st.WAL.Total, len(burst)-1)
 	}
-	for lane, ls := range st.WALPerLane {
-		want := perLane[lane]
-		if lane == torn {
-			want--
-		}
-		if ls.Total != int64(want) {
-			t.Fatalf("lane %d recovered %d records, want %d (loss not isolated)", lane, ls.Total, want)
-		}
+	if len(st.WALPerLane) != 1 || st.WALPerLane[0].Total != st.WAL.Total {
+		t.Fatalf("WALPerLane = %d entries, want the one WAL snapshot", len(st.WALPerLane))
 	}
 	// Re-submitting the burst re-admits exactly the torn record; the
 	// rest dedup against their replayed RECV entries.
@@ -401,6 +369,9 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	if got := h2.Counters().Get("duplicates"); got != int64(len(burst)-1) {
 		t.Fatalf("duplicates = %d, want %d", got, len(burst)-1)
 	}
+	if got := h2.Counters().Get("received"); got != 1 {
+		t.Fatalf("received = %d, want 1 (the torn record)", got)
+	}
 	if err := h2.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -409,5 +380,27 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 		if got := sink2.count(user, key); got != 1 {
 			t.Fatalf("alert %d (%s) delivered %d times, want exactly 1", i, uk, got)
 		}
+	}
+}
+
+// TestHubRefusesWALWithLaneFiles: a WAL directory still holding
+// "<WALPath>.lane*" files from a multi-lane layout must not open —
+// reading only the base journal would strand the lanes' acked alerts.
+func TestHubRefusesWALWithLaneFiles(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "hub.wal")
+	lane := walPath + ".lane01.00000001.seg"
+	if err := os.WriteFile(lane, []byte("SIMBAW1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(Config{Clock: clock.NewReal(), Sink: newCountingSink(nil), WALPath: walPath})
+	if err == nil {
+		h.Drain()
+		t.Fatal("New opened a WAL with lane files")
+	}
+	if !strings.Contains(err.Error(), lane) {
+		t.Fatalf("error %q does not name %s", err, lane)
+	}
+	if _, err := os.Stat(walPath + ".00000001.seg"); !os.IsNotExist(err) {
+		t.Fatal("New created a base segment before refusing")
 	}
 }

@@ -2,11 +2,13 @@ package plog
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"simba/internal/metrics"
 )
 
 // The adaptive committer's contract: Window is an upper bound on the
@@ -18,8 +20,6 @@ import (
 
 // TestAdaptiveIdleFiresImmediately: an append that wakes a parked
 // committer commits immediately — even right after a previous fsync.
-// A lone committer is never delayed; pacing needs company (a backlog
-// staged while an fsync was in flight).
 func TestAdaptiveIdleFiresImmediately(t *testing.T) {
 	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
 	for i := 0; i < 3; i++ {
@@ -52,80 +52,113 @@ func TestAdaptiveIdleGapCountsAsWindow(t *testing.T) {
 	}
 }
 
-// TestAdaptiveForceFlushRecords: a backlog at or over CommitMaxRecords
-// must commit without waiting out the window. With the threshold at 1
-// record, every backlog qualifies, so no interleaving of the
-// concurrent appends below can leave a sub-threshold straggler parked
-// for the 30s window — any wait at all fails the elapsed bound.
-func TestAdaptiveForceFlushRecords(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxRecords: 1})
-	// Warm-up commit so lastSync is recent and a paced committer would,
-	// absent the threshold, hold any backlog for the window remainder.
-	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
+// logKeys durably logs n keys in one batch and returns them.
+func logKeys(t *testing.T, g *GroupLog, n int) []string {
+	t.Helper()
+	entries := make([]BatchEntry, n)
+	keys := make([]string, n)
+	for i := range entries {
+		keys[i] = fmt.Sprintf("k%d", i)
+		entries[i] = BatchEntry{Key: keys[i], Payload: []byte("p"), At: t0}
+	}
+	if err := g.LogReceivedBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	const n = 8
+	return keys
+}
+
+// committed reports whether every staged journal line has been
+// written and fsynced.
+func committed(g *GroupLog) bool { return g.BatchSizes().Sum == g.Appended() }
+
+// markAllAsync stages DONE records for keys from concurrent goroutines
+// without waiting, then waits (up to within) for all of them to be
+// committed; it fails the test if they stay parked.
+func markAllAsync(t *testing.T, g *GroupLog, keys []string, within time.Duration) {
+	t.Helper()
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for _, key := range keys {
 		wg.Add(1)
-		go func(i int) {
+		go func(key string) {
 			defer wg.Done()
-			if err := g.LogReceived(fmt.Sprintf("k%d", i), []byte("p"), t0); err != nil {
+			if err := g.MarkProcessedAsync(key, t0); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}(key)
 	}
 	wg.Wait()
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("%d appends with CommitMaxRecords=1 took %v, want force-flush (window 30s)", n, el)
+	deadline := time.Now().Add(within)
+	for !committed(g) {
+		if time.Now().After(deadline) {
+			t.Fatalf("async DONE records still parked after %v", within)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
+// TestAdaptiveForceFlushRecords: an unwaited backlog at or over
+// CommitMaxRecords must commit without waiting out the window. With
+// the threshold at 1 record, every backlog qualifies, so no
+// interleaving of the concurrent async marks below can leave a
+// sub-threshold straggler parked for the 30s window.
+func TestAdaptiveForceFlushRecords(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxRecords: 1})
+	markAllAsync(t, g, logKeys(t, g, 8), 10*time.Second)
+}
+
 // TestAdaptiveForceFlushBytes: byte-volume threshold, same contract —
-// each 128-byte payload alone exceeds CommitMaxBytes, so any backlog
-// the concurrent appends form is over threshold and must not park.
+// each DONE frame alone exceeds CommitMaxBytes, so any backlog the
+// concurrent async marks form is over threshold and must not park.
 func TestAdaptiveForceFlushBytes(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxBytes: 64})
-	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
-		t.Fatal(err)
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxBytes: 16})
+	markAllAsync(t, g, logKeys(t, g, 8), 10*time.Second)
+}
+
+// TestAdaptiveAsyncBacklogPacedUntilWaited: a backlog of async DONE
+// records that formed while an fsync ran is held for the window, and
+// the first append a caller blocks on ends the window for it.
+func TestAdaptiveAsyncBacklogPacedUntilWaited(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
+	// Stage marks in quick rounds: the first mark of a round wakes the
+	// parked committer, and marks staged while its fsync runs are left
+	// as a backlog, which the committer paces. A round whose marks all
+	// made the first commit leaves nothing behind; try the next one.
+	const rounds, perRound = 10, 2000
+	keys := logKeys(t, g, rounds*perRound)
+	paced := false
+	for r := 0; r < rounds && !paced; r++ {
+		for _, key := range keys[r*perRound : (r+1)*perRound] {
+			if err := g.MarkProcessedAsync(key, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		paced = !committed(g)
+	}
+	if !paced {
+		t.Fatal("no async backlog was held back, want it paced (window 30s)")
 	}
 	start := time.Now()
-	const n = 8
-	payload := []byte(strings.Repeat("x", 128))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := g.LogReceived(fmt.Sprintf("big%d", i), payload, t0); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	if err := g.LogReceived("waited", []byte("p"), t0); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("%d over-bytes appends took %v, want force-flush (window 30s)", n, el)
+		t.Fatalf("waited append behind a paced backlog took %v, want the window cut", el)
+	}
+	if !committed(g) {
+		t.Fatal("paced backlog not committed with the waited append")
 	}
 }
 
 // TestAdaptiveCloseCutsWindowShort: Close must not strand a committer
-// parked mid-window — the staged batch commits and Close returns.
+// parked mid-window — the staged async backlog commits and Close
+// returns.
 func TestAdaptiveCloseCutsWindowShort(t *testing.T) {
 	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
-	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- g.LogReceived("parked", []byte("p"), t0) }()
-	// Wait until the record is staged (Appended counts staging, not
-	// commit) so Close races the window wait, not the append itself.
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Appended() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("append never staged")
+	for _, key := range logKeys(t, g, 20000) {
+		if err := g.MarkProcessedAsync(key, t0); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	start := time.Now()
 	if err := g.Close(); err != nil {
@@ -134,8 +167,8 @@ func TestAdaptiveCloseCutsWindowShort(t *testing.T) {
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("Close took %v, want immediate flush (window 30s)", el)
 	}
-	if err := <-errc; err != nil {
-		t.Fatalf("append staged before Close failed: %v", err)
+	if !committed(g) {
+		t.Fatal("async backlog staged before Close was not committed")
 	}
 }
 
@@ -172,4 +205,48 @@ func TestGroupLogOpenCloseLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d across 1000 open/close cycles", before, after)
+}
+
+// TestFlushDueOnlyWhenWaited pins the pacing decision without a
+// committer racing it: a backlog of async DONE records is not due (the
+// committer may pace it), and it becomes due — with the window-cut
+// signal raised — the moment a caller blocks on it, whether by staging
+// a fresh record or by re-logging a duplicate.
+func TestFlushDueOnlyWhenWaited(t *testing.T) {
+	l, err := OpenWithOptions(filepath.Join(t.TempDir(), "due.plog"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Each pass marks its own two records; the second pass's waiter
+	// re-logs one of them.
+	for _, key := range []string{"a0", "b0", "a1", "b1"} {
+		if _, _, err := l.stageReceived(nil, key, []byte("p"), t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass, waiter := range []string{"fresh", "a1"} {
+		marks := []string{fmt.Sprintf("a%d", pass), fmt.Sprintf("b%d", pass)}
+		g := &GroupLog{
+			log:         l,
+			opts:        GroupOptions{Window: time.Hour, MaxBatch: 1024, CommitMaxRecords: 1024, CommitMaxBytes: 1 << 20},
+			flushNow:    make(chan struct{}, 1),
+			batchSizes:  &metrics.Histogram{},
+			stagedSizes: &metrics.Histogram{},
+			commitWait:  &metrics.Histogram{},
+		}
+		g.cond = sync.NewCond(&g.mu)
+		if errs := g.MarkProcessedBatchAsync(marks, t0); errs != nil {
+			t.Fatalf("async marks: %v", errs)
+		}
+		if g.flushDueLocked() || len(g.flushNow) != 0 {
+			t.Fatalf("%s: async-only backlog is due, want it paceable", waiter)
+		}
+		if _, err := g.LogReceivedBatchStart([]BatchEntry{{Key: waiter, Payload: []byte("p"), At: t0}}); err != nil {
+			t.Fatal(err)
+		}
+		if !g.flushDueLocked() || len(g.flushNow) != 1 {
+			t.Fatalf("%s: waited backlog not due or window not cut", waiter)
+		}
+	}
 }

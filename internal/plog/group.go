@@ -47,9 +47,9 @@ type GroupLog struct {
 	failed   error // sticky: first batch-write failure poisons the log
 	done     chan struct{}
 	// flushNow (capacity 1) cuts an in-progress commit window short:
-	// staging paths signal it when the backlog crosses a force-flush
-	// threshold, and Close signals it so shutdown never waits out a
-	// window.
+	// staging paths signal it when a caller blocks on the backlog or it
+	// crosses a force-flush threshold, and Close signals it so shutdown
+	// never waits out a window.
 	flushNow chan struct{}
 	scratch  []byte // staging buffer reused across appends (guarded by mu)
 	// freeBufs recycles committed batches' encode buffers back into new
@@ -69,14 +69,12 @@ const (
 
 // GroupOptions tune the commit policy.
 type GroupOptions struct {
-	// Window is the committer's adaptive upper bound on batching delay,
-	// not a fixed tax: an append that ends an idle spell (no fsync in
-	// flight and at least a window since the last one) commits
-	// immediately, a backlog that accumulated while the previous fsync
-	// ran commits immediately (the fsync was its window — the two-deep
-	// pipeline), and only a steady stream that keeps the committer fed
-	// is paced so fsyncs land at most one per window. Zero always
-	// commits as soon as the previous fsync completes.
+	// Window bounds how long records nobody waits on (the Async DONE
+	// paths) may linger before their fsync, so they ride along with the
+	// next commit someone needs instead of paying their own. It is not
+	// a tax on waiters: a record a caller blocks on commits as soon as
+	// the fsync in flight, if any, completes. Zero always commits as
+	// soon as the previous fsync completes.
 	Window time.Duration
 	// MaxBatch caps the journal lines per commit. Zero means 1024.
 	MaxBatch int
@@ -127,6 +125,7 @@ type groupBatch struct {
 	buf      []byte // encoded journal lines, in staging order
 	lines    int64
 	openedAt time.Time // when the batch was opened (commit-wait clock)
+	waited   bool      // a caller blocks on this batch: commit it unpaced
 	err      error
 	done     chan struct{}
 }
@@ -193,10 +192,10 @@ func (c Commit) Wait() error {
 }
 
 // LogReceivedBatchStart is the staging half of LogReceivedBatch: it
-// stages the burst and returns a Commit to wait on instead of blocking.
-// The caller may stage bursts into several independent logs (the hub's
-// per-shard WAL lanes) and then wait on all the Commits, overlapping
-// the lanes' fsyncs; records are NOT durable until Wait returns nil.
+// stages the burst and returns a Commit to wait on instead of blocking,
+// so the caller can keep staging later bursts while this one's fsync
+// runs (the hub's pipelined ingest); records are NOT durable until
+// Wait returns nil.
 // All other LogReceivedBatch semantics (ordering, duplicate no-ops,
 // duplicate bursts still waiting out in-flight batches) are unchanged.
 func (g *GroupLog) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
@@ -241,6 +240,9 @@ func (g *GroupLog) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 		case g.flushing != nil:
 			b = g.flushing
 		}
+	}
+	if b != nil {
+		g.waitOnLocked(b)
 	}
 	g.mu.Unlock()
 	return Commit{b: b}, nil
@@ -315,25 +317,42 @@ func (g *GroupLog) stageLocked(stage stageFn) (*groupBatch, error) {
 }
 
 // noteStagedLocked wakes the committer for newly staged records and,
-// when the backlog has crossed a force-flush threshold, cuts any
-// in-progress commit window short. Caller holds g.mu.
+// when the backlog is due (flushDueLocked), cuts any in-progress commit
+// window short. Caller holds g.mu.
 func (g *GroupLog) noteStagedLocked() {
 	g.cond.Signal()
-	if g.overThresholdLocked() {
-		select {
-		case g.flushNow <- struct{}{}:
-		default:
-		}
+	if g.flushDueLocked() {
+		g.cutWindowLocked()
 	}
 }
 
-// overThresholdLocked reports whether the staged backlog already
-// justifies an immediate commit — the CommitMaxRecords/CommitMaxBytes
-// force-flush test. The queue is at most a couple of batches deep, so
-// the scan is cheap. Caller holds g.mu.
-func (g *GroupLog) overThresholdLocked() bool {
+// waitOnLocked marks b as waited on by a caller, so it is committed
+// without pacing. Caller holds g.mu.
+func (g *GroupLog) waitOnLocked(b *groupBatch) {
+	b.waited = true
+	g.cutWindowLocked()
+}
+
+// cutWindowLocked ends an in-progress commit window early. Caller
+// holds g.mu.
+func (g *GroupLog) cutWindowLocked() {
+	select {
+	case g.flushNow <- struct{}{}:
+	default:
+	}
+}
+
+// flushDueLocked reports whether the staged backlog already justifies
+// an immediate commit: a caller is blocked on it, or it crossed a
+// CommitMaxRecords/CommitMaxBytes force-flush threshold. The queue is
+// at most a couple of batches deep, so the scan is cheap. Caller holds
+// g.mu.
+func (g *GroupLog) flushDueLocked() bool {
 	var lines, bytes int64
 	for _, b := range g.queue {
+		if b.waited {
+			return true
+		}
 		lines += b.lines
 		bytes += int64(len(b.buf))
 	}
@@ -386,6 +405,7 @@ func (g *GroupLog) commit(stage stageFn) error {
 			return nil
 		}
 	}
+	g.waitOnLocked(b)
 	g.mu.Unlock()
 	<-b.done
 	return b.err
@@ -415,21 +435,18 @@ func (g *GroupLog) openBatchLocked() *groupBatch {
 // batch (a burst that overshot the cap when it joined) still commits
 // alone.
 //
-// The commit schedule is adaptive rather than a fixed timer. A wake
-// that ends an idle spell (the committer was parked: no backlog, no
-// fsync in flight) commits immediately — the append had no peers to
-// wait for while it staged, so idle admission latency is the fsync
-// itself, not the window. Pacing applies only when a backlog of two
-// or more records is already waiting at the top of the cycle, i.e.
-// peers staged while the previous fsync ran (the two-deep pipeline:
-// batch N+1 accumulates under fsync N). Such a backlog proves
-// concurrent load,
-// so the committer sleeps out the window's remainder to let the
-// batch fill — fsyncs land at most one per Window under a sustained
-// stream — and the wait is cut short the moment the backlog crosses
-// a force-flush threshold (CommitMaxRecords/CommitMaxBytes) or the
-// log closes. The shape follows commit_delay/commit_siblings in
-// Postgres: never delay a lone committer, only one with company.
+// The commit schedule is adaptive rather than a fixed timer. A backlog
+// a caller blocks on commits at once: if the committer was parked,
+// admission latency is the fsync itself, not the window, and otherwise
+// the backlog accumulated while the previous fsync ran (the two-deep
+// pipeline: batch N+1 fills under fsync N), so holding it longer
+// would only delay an acknowledgement. A backlog nobody waits on —
+// DONE records staged by the Async paths — is paced, even when it
+// wakes a parked committer: the committer sleeps until a window has
+// passed since the previous fsync, so those records ride along with
+// the next commit someone needs, and the wait is cut short the moment
+// a caller blocks on the backlog, the backlog crosses a force-flush
+// threshold (CommitMaxRecords/CommitMaxBytes), or the log closes.
 func (g *GroupLog) committer() {
 	defer close(g.done)
 	var take []*groupBatch
@@ -447,23 +464,17 @@ func (g *GroupLog) committer() {
 			return // closed and drained
 		}
 		if idle && !g.closed {
-			// Commit immediately, but yield the processor once first:
-			// appenders that are already runnable (woken together with
-			// us, or starved while GOMAXPROCS=1 kept them off the core
-			// during the last fsync) get to stage into this batch. At
-			// true idle nothing is runnable and the yield costs a few
-			// microseconds, so idle admission stays sub-window.
+			// Yield the processor once before deciding: appenders that
+			// are already runnable (woken together with us, or starved
+			// while GOMAXPROCS=1 kept them off the core during the last
+			// fsync) get to stage into this batch. At true idle nothing
+			// is runnable and the yield costs a few microseconds, so
+			// idle admission stays sub-window.
 			g.mu.Unlock()
 			runtime.Gosched()
 			g.mu.Lock()
 		}
-		// Pace only a backlog with company (two or more records): a lone
-		// record that happened to stage while the previous fsync ran has
-		// no peers to amortize with, and holding it for the window
-		// remainder would put a window-sized tail on otherwise-idle
-		// admission latency.
-		if w := g.opts.Window; w > 0 && !idle && !g.closed && !g.overThresholdLocked() &&
-			(len(g.queue) > 1 || g.queue[0].lines > 1) {
+		if w := g.opts.Window; w > 0 && !g.closed && !g.flushDueLocked() {
 			if wait := w - time.Since(lastSync); wait > 0 {
 				g.waitWindow(wait)
 			}
@@ -520,16 +531,16 @@ func (g *GroupLog) committer() {
 }
 
 // waitWindow parks the committer for up to d, waking early when a
-// staging path signals a force-flush threshold or Close fires. The
-// timer is stopped and drained on the early-wake path, and a stale
-// threshold token is dropped before parking, so neither the timer nor
-// the signal channel leaks state into later cycles. Called with g.mu
-// held; returns with it re-held.
+// caller blocks on the backlog, a staging path signals a force-flush
+// threshold, or Close fires. The timer is stopped and drained on the
+// early-wake path, and a stale token is dropped before parking, so
+// neither the timer nor the signal channel leaks state into later
+// cycles. Called with g.mu held; returns with it re-held.
 func (g *GroupLog) waitWindow(d time.Duration) {
 	select {
-	// Drop a threshold token left by a backlog an earlier cycle already
-	// committed: overThresholdLocked just said the current backlog does
-	// not justify an immediate flush.
+	// Drop a token left by a backlog an earlier cycle already
+	// committed: flushDueLocked just said the current backlog does not
+	// justify an immediate flush.
 	case <-g.flushNow:
 	default:
 	}
@@ -615,10 +626,7 @@ func (g *GroupLog) Close() error {
 	}
 	g.closed = true
 	g.cond.Broadcast()
-	select {
-	case g.flushNow <- struct{}{}: // cut short an in-progress commit window
-	default:
-	}
+	g.cutWindowLocked()
 	g.mu.Unlock()
 	<-g.done
 	return g.log.Close()

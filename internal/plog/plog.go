@@ -13,9 +13,7 @@
 // protected by a CRC32C trailer — see binary.go for the byte layout.
 // Every append is fsynced — that is what makes the logging pessimistic
 // — and a torn final frame (crash mid-write) is detected by checksum
-// and truncated on recovery. Journals written by earlier versions in
-// the line-oriented text format replay once through the legacy parser
-// (segment.go) and migrate to binary segments on open.
+// and truncated on recovery.
 //
 // The journal is *segmented* so that disk, memory, and restart time
 // amortize to O(unprocessed) instead of O(all-time): appends go to a
@@ -32,7 +30,6 @@
 package plog
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -58,15 +55,16 @@ var (
 const (
 	// DefaultSegmentBytes caps the active segment before rotation.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultSweepEvery is how many processed (tombstoned) records may
-	// accumulate in memory before a sweep retires them.
+	// DefaultSweepEvery is the least number of processed (tombstoned)
+	// records that must accumulate in memory before a sweep retires
+	// them.
 	DefaultSweepEvery = 4096
 )
 
 // Options tune the segmented journal. The zero value gives a 4 MiB
-// segment size, in-memory sweeping every 4096 processed records, and
-// no background checkpointing (call Checkpoint explicitly, or set
-// CheckpointEvery).
+// segment size, in-memory sweeping of at least 4096 processed records
+// at a time, and no background checkpointing (call Checkpoint
+// explicitly, or set CheckpointEvery).
 type Options struct {
 	// SegmentBytes caps the active segment: an append that would push
 	// it past this size rotates to a fresh segment first (one append
@@ -79,7 +77,8 @@ type Options struct {
 	// (Checkpoint can still be called explicitly).
 	CheckpointEvery int64
 	// SweepEvery bounds how many processed records stay resident: once
-	// this many tombstones accumulate, a sweep drops them from the
+	// at least this many tombstones accumulate and they make up at
+	// least half of the resident records, a sweep drops them from the
 	// in-memory index (Has/IsProcessed then report false for them —
 	// safe, because a re-received retired alert merely replays into
 	// the downstream timestamp dedup). Zero means DefaultSweepEvery;
@@ -119,9 +118,8 @@ type Stats struct {
 	// Retired counts processed records the sweep dropped from memory.
 	Retired int64
 	// CorruptRecords counts journal records that failed validation
-	// during replay — CRC32C mismatches and malformed frames in binary
-	// segments, malformed lines in legacy text segments (clean torn
-	// tails are truncated, not counted).
+	// during replay — CRC32C mismatches and malformed frames (clean
+	// torn tails are truncated, not counted).
 	CorruptRecords int64
 	// Segments is the number of on-disk segments (including the active
 	// one); ActiveSegment is the active segment's sequence number.
@@ -143,8 +141,7 @@ type Stats struct {
 	// newest checkpoint).
 	DiskBytes int64
 	// Syncs counts fsyncs issued since Open; FsyncLatency is their
-	// latency histogram (microseconds). Carried in Stats so per-lane
-	// snapshots (LaneSet.PerLaneStats) are self-contained.
+	// latency histogram (microseconds).
 	Syncs        int64
 	FsyncLatency metrics.HistogramSnapshot
 	// CommitBatches and StagedBatches summarize the group-commit layer
@@ -179,9 +176,6 @@ type Log struct {
 	activeSize int64
 	oldestSeq  uint64 // lowest on-disk segment sequence
 	liveSegs   int
-	// activeIsText marks a legacy text segment adopted as active during
-	// recovery; recover() rotates it away before any binary append.
-	activeIsText bool
 
 	syncs    atomic.Int64
 	fsyncLat *metrics.Histogram // microseconds per fsync
@@ -191,10 +185,12 @@ type Log struct {
 	order []Record
 	// total is the all-time logged-alert count; retired counts
 	// processed records swept from memory; processedLive counts
-	// tombstones still resident (the sweep trigger).
+	// tombstones still resident (the sweep trigger); sweeps counts
+	// sweeps run.
 	total         int64
 	retired       int64
 	processedLive int
+	sweeps        int
 	corrupt       int64
 
 	// Checkpoint state: gen of the newest durable checkpoint,
@@ -226,8 +222,7 @@ func Open(path string) (*Log, error) {
 }
 
 // OpenWithOptions is Open with explicit segmentation/compaction
-// tuning. A legacy single-file journal at path is migrated in place to
-// segment 1.
+// tuning.
 func OpenWithOptions(path string, opts Options) (*Log, error) {
 	l := &Log{
 		base:     path,
@@ -276,12 +271,17 @@ func (l *Log) markProcessedLocked(i int) {
 	l.processedLive++
 }
 
-// maybeSweepLocked retires accumulated tombstones once SweepEvery of
-// them are resident, keeping memory O(unprocessed).
+// maybeSweepLocked retires accumulated tombstones once at least
+// SweepEvery of them are resident and they make up at least half of
+// the resident records, keeping memory O(unprocessed). The half rule
+// makes the sweep amortized O(1) per record: a sweep copies at most as
+// many live records as it drops tombstones, so draining an N-record
+// backlog costs O(N) rather than O(N²/SweepEvery).
 func (l *Log) maybeSweepLocked() {
-	if l.opts.SweepEvery <= 0 || l.processedLive < l.opts.SweepEvery {
+	if l.opts.SweepEvery <= 0 || l.processedLive < l.opts.SweepEvery || 2*l.processedLive < len(l.order) {
 		return
 	}
+	l.sweeps++
 	kept := make([]Record, 0, len(l.order)-l.processedLive)
 	for _, r := range l.order {
 		if !r.Processed {
@@ -665,22 +665,4 @@ func (l *Log) Close() error {
 		err = derr
 	}
 	return err
-}
-
-// replayLines scans one journal stream, applying complete lines and
-// returning the byte length of the intact prefix (everything before a
-// torn final line). Replayed records count toward the compaction
-// trigger, so reopening with a long post-checkpoint tail schedules a
-// fresh checkpoint promptly.
-func (l *Log) replayLines(r *bufio.Reader) (goodBytes int64) {
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// No trailing newline: torn tail. Leave goodBytes where it is.
-			return goodBytes
-		}
-		goodBytes += int64(len(line))
-		l.applyLine(line[:len(line)-1])
-		l.sinceCkpt++
-	}
 }

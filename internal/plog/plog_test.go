@@ -186,32 +186,6 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 	}
 }
 
-func TestRecoveryIgnoresGarbageLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "alerts.plog")
-	content := "RECV notanumber a a\n" +
-		"BANANA 1 2 3\n" +
-		"RECV 42 !!!bad-base64 aGk=\n" +
-		"DONE 42 !!!bad\n" +
-		"DONE 42\n" +
-		"RECV 99 " + b64("real") + " " + b64("payload") + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.Len() != 1 || !l.Has("real") {
-		t.Fatalf("Len() = %d", l.Len())
-	}
-	// The malformed RECV/DONE lines (not the unknown BANANA record,
-	// which is forward-compatibility skip) are counted, not silent.
-	if got := l.Stats().CorruptRecords; got != 4 {
-		t.Fatalf("CorruptRecords = %d, want 4", got)
-	}
-}
-
 func TestClosedLogRejectsWrites(t *testing.T) {
 	l := openTemp(t)
 	if err := l.LogReceived("k", []byte("p"), t0); err != nil {
